@@ -17,6 +17,7 @@
 //! ```
 
 use std::process::ExitCode;
+use tbd_core::serve::{parse_batch, parse_framework, parse_model};
 use tbd_core::{
     kernel_table, paper_batches, Framework, GpuSpec, Interconnect, MemoryCategory, ModelKind,
     Suite, WorkloadMetrics,
@@ -128,31 +129,6 @@ fn print_help() {
     println!("  dot <model>                        model graph in Graphviz DOT format");
     println!("  analyze <model> <framework> <batch>  full Fig. 3 analysis pipeline");
     println!("  list                               available models/frameworks/devices");
-}
-
-fn parse_model(name: &str) -> Result<ModelKind, String> {
-    let normalized = name.to_lowercase().replace(['-', '_', ' '], "");
-    ModelKind::ALL
-        .into_iter()
-        .find(|k| k.name().to_lowercase().replace(['-', ' '], "") == normalized)
-        .or(match normalized.as_str() {
-            "resnet" => Some(ModelKind::ResNet50),
-            "inception" => Some(ModelKind::InceptionV3),
-            "nmt" | "sockeye" => Some(ModelKind::Seq2Seq),
-            "rcnn" | "fasterrcnn" => Some(ModelKind::FasterRcnn),
-            "ds2" | "deepspeech" => Some(ModelKind::DeepSpeech2),
-            _ => None,
-        })
-        .ok_or_else(|| format!("unknown model '{name}' (try `tbd list`)"))
-}
-
-fn parse_framework(name: &str) -> Result<Framework, String> {
-    match name.to_lowercase().as_str() {
-        "tensorflow" | "tf" => Ok(Framework::tensorflow()),
-        "mxnet" | "mx" => Ok(Framework::mxnet()),
-        "cntk" => Ok(Framework::cntk()),
-        other => Err(format!("unknown framework '{other}' (TensorFlow, MXNet, CNTK)")),
-    }
 }
 
 fn parse_gpu(args: &[&str]) -> GpuSpec {
@@ -352,7 +328,7 @@ fn cmd_scale(args: &[&str]) -> Result<(), String> {
         None => framework_flag(args, model)?,
     };
     let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => paper_batches(model)[0],
     };
     let sweep = args.contains(&"--sweep");
@@ -438,7 +414,7 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
         None => framework_flag(args, model)?,
     };
     let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => paper_batches(model)[0],
     };
     let seed = parse_u64("--seed", 42)?;
@@ -535,7 +511,7 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
     // Default to the largest paper batch: for several workloads it OOMs at
     // baseline on the P4000, so the degradation ladder gets exercised.
     let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => *paper_batches(model).last().expect("non-empty axis"),
     };
     let steps = parse_u64("--steps", 20)?;
@@ -632,7 +608,7 @@ fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
         None => framework_flag(args, model)?,
     };
     let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => paper_batches(model)[0],
     };
     let (fuse, precision) = speed_flags(args)?;
@@ -700,11 +676,7 @@ fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
 fn cmd_json(args: &[&str]) -> Result<(), String> {
     let model = parse_model(args.first().ok_or("usage: tbd json <model> <framework> <batch>")?)?;
     let framework = parse_framework(args.get(1).ok_or("usage: tbd json <model> <framework> <batch>")?)?;
-    let batch: usize = args
-        .get(2)
-        .ok_or("usage: tbd json <model> <framework> <batch>")?
-        .parse()
-        .map_err(|_| "batch must be an integer".to_string())?;
+    let batch = parse_batch(args.get(2).ok_or("usage: tbd json <model> <framework> <batch>")?)?;
     let suite = Suite::new(parse_gpu(args));
     let m = suite.run(model, framework, batch).map_err(|e| e.to_string())?;
     print_all(&metrics_to_json(&m));
@@ -780,7 +752,7 @@ fn cmd_trace(args: &[&str]) -> Result<(), String> {
         None => framework_flag(args, model)?,
     };
     let batch = match flag_value("--batch").or_else(|| positional.get(2).copied()) {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => paper_batches(model)[0],
     };
     let threads: usize = flag_value("--threads")
@@ -844,7 +816,7 @@ fn cmd_metrics(args: &[&str]) -> Result<(), String> {
         None => framework_flag(args, model)?,
     };
     let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => paper_batches(model)[0],
     };
     let threads: usize = flag_value("--threads")
@@ -897,7 +869,7 @@ fn cmd_watch(args: &[&str]) -> Result<(), String> {
         None => framework_flag(args, model)?,
     };
     let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => paper_batches(model)[0],
     };
     let port = parse_u64("--port", 9898)?;
@@ -1080,7 +1052,7 @@ fn cmd_report(args: &[&str]) -> Result<(), String> {
         None => framework_flag(args, model)?,
     };
     let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
+        Some(text) => parse_batch(text)?,
         None => paper_batches(model)[0],
     };
     let threads: usize = flag_value("--threads")
@@ -1248,8 +1220,7 @@ fn three_args(args: &[&str], cmd: &str) -> Result<(ModelKind, Framework, usize),
     let usage = format!("usage: tbd {cmd} <model> <framework> <batch>");
     let model = parse_model(args.first().ok_or(&usage)?)?;
     let framework = parse_framework(args.get(1).ok_or(&usage)?)?;
-    let batch: usize =
-        args.get(2).ok_or(&usage)?.parse().map_err(|_| "batch must be an integer".to_string())?;
+    let batch = parse_batch(args.get(2).ok_or(&usage)?)?;
     Ok((model, framework, batch))
 }
 

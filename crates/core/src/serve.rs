@@ -10,8 +10,8 @@
 //!
 //! # Why responses are deterministic
 //!
-//! The whole pipeline under a query is simulated time: the capture runs
-//! simulation-only (`functional: false`, so no global executor state is
+//! The whole pipeline under a query is simulated time: the profile is
+//! simulated only (no executor run, so no global executor state is
 //! touched and queries are thread-safe), the event engine orders events
 //! canonically, and the response JSON is rendered from a `BTreeMap` with
 //! the repo's deterministic number formatting. No wall clock, no
@@ -20,7 +20,7 @@
 //! exactly what makes the three cache layers safe:
 //!
 //! * **profile/lowering cache** — one [`ProfileArtifact`] per
-//!   (model, framework, batch, fuse, precision): the captured iteration
+//!   (model, framework, batch, fuse, precision): the profiled iteration
 //!   time plus the per-layer backward profile every cluster replay needs.
 //! * **memoized rooflines** — `tbd-gpusim` answers repeated per-kernel
 //!   timings from a thread-local table
@@ -47,7 +47,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tbd_distrib::{BackwardProfile, DataParallelSim, EventConfig, StragglerSpec};
-use tbd_frameworks::Framework;
+use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_graph::trace::TraceRecorder;
@@ -56,7 +56,6 @@ use tbd_profiler::json::Value;
 use tbd_profiler::live::{parse_request_line, write_response, MAX_REQUEST_LINE};
 use tbd_profiler::pool::WorkerPool;
 use tbd_profiler::trace::fnv1a;
-use tbd_profiler::{capture, TraceOptions};
 use tbd_tensor::Precision;
 
 use crate::diagnose::resolve_cluster;
@@ -103,6 +102,24 @@ pub fn parse_framework(name: &str) -> Result<Framework, String> {
         other => Err(format!("unknown framework '{other}' (TensorFlow, MXNet, CNTK)")),
     }
 }
+
+/// Parses a per-GPU mini-batch: a positive integer. Every front end (the
+/// `tbd` CLI flags and `GET /query`) goes through here, so batch 0 is
+/// rejected before it can reach a capture or a cache.
+///
+/// # Errors
+///
+/// Returns a message for zero or a non-integer.
+pub fn parse_batch(text: &str) -> Result<usize, String> {
+    match text.parse::<usize>() {
+        Ok(batch) if batch > 0 => Ok(batch),
+        _ => Err(format!("invalid batch '{text}' (expected a positive integer)")),
+    }
+}
+
+/// The parameters `GET /query` accepts; any other key is rejected.
+const QUERY_KEYS: [&str; 7] =
+    ["model", "framework", "batch", "fuse", "precision", "cluster", "stragglers"];
 
 /// One capacity-planning query — the cache key, fully canonicalised.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,12 +237,19 @@ pub fn url_decode(s: &str) -> String {
 /// # Errors
 ///
 /// Returns a client-facing message for a missing model, an unknown
-/// name, or an unparsable number.
+/// parameter or name, a zero batch, an unparsable number or `fuse` flag.
 pub fn parse_query(query_string: &str) -> Result<ServeQuery, String> {
     let mut params: BTreeMap<String, String> = BTreeMap::new();
     for pair in query_string.split('&').filter(|p| !p.is_empty()) {
         let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        params.insert(url_decode(key), url_decode(value));
+        let key = url_decode(key);
+        if !QUERY_KEYS.contains(&key.as_str()) {
+            return Err(format!(
+                "unknown parameter '{key}' (expected one of {})",
+                QUERY_KEYS.join(", ")
+            ));
+        }
+        params.insert(key, url_decode(value));
     }
     let model = parse_model(params.get("model").ok_or("missing required parameter 'model'")?)?;
     let framework = match params.get("framework") {
@@ -239,12 +263,12 @@ pub fn parse_query(query_string: &str) -> Result<ServeQuery, String> {
             .find(|fw| fw.supports(model))
             .ok_or_else(|| format!("no framework supports {}", model.name()))?,
     };
-    let batch = match params.get("batch") {
-        Some(v) => v.parse::<usize>().map_err(|_| format!("invalid batch '{v}'"))?,
-        None => 4,
+    let batch = params.get("batch").map_or(Ok(4), |v| parse_batch(v))?;
+    let fuse = match params.get("fuse").map(String::as_str) {
+        None | Some("1" | "true" | "yes" | "on") => true,
+        Some("0" | "false" | "no" | "off") => false,
+        Some(v) => return Err(format!("invalid fuse '{v}' (expected 0 or 1)")),
     };
-    let fuse =
-        !matches!(params.get("fuse").map(String::as_str), Some("0" | "false" | "no" | "off"));
     let precision = match params.get("precision") {
         Some(v) => v.parse::<Precision>()?,
         None => Precision::F32,
@@ -366,7 +390,7 @@ impl ServeEngine {
         self.computes.load(Ordering::Relaxed)
     }
 
-    /// Profile/lowering-cache fills (captures actually run).
+    /// Profile/lowering-cache fills (profiles actually simulated).
     pub fn profile_computes(&self) -> u64 {
         self.profile_computes.load(Ordering::Relaxed)
     }
@@ -430,9 +454,17 @@ impl ServeEngine {
         }
     }
 
-    /// The profile/lowering cache: captures (simulation-only) at most once
-    /// per (model, framework, batch, fuse, precision).
-    fn artifact(&self, query: &ServeQuery) -> Result<Arc<ProfileArtifact>, String> {
+    /// The profile/lowering cache: profiles (untraced, simulation only) at
+    /// most once per (model, framework, batch, fuse, precision). Traced and
+    /// untraced simulation are bit-identical, so the artifact equals the
+    /// one a traced `capture` yields, without building its events or its
+    /// data-parallel stage.
+    ///
+    /// # Errors
+    ///
+    /// Returns a client-facing message when the batch does not fit the
+    /// device, or a graph error.
+    pub fn artifact(&self, query: &ServeQuery) -> Result<Arc<ProfileArtifact>, String> {
         let key = query.profile_digest();
         if let Some(artifact) = self.profiles.lock().expect("profile cache lock").get(&key) {
             return Ok(Arc::clone(artifact));
@@ -442,23 +474,20 @@ impl ServeEngine {
         // and the first insert wins; identical queries never get here
         // twice thanks to result-level single-flight.
         self.profile_computes.fetch_add(1, Ordering::Relaxed);
-        let options = TraceOptions {
-            functional: false, // simulation-only: no global executor state
-            fuse: query.fuse,
-            precision: query.precision,
-            ..TraceOptions::default()
-        };
-        let cap = capture(query.model, query.framework, query.batch, &self.gpu, &options)
-            .map_err(|e| e.to_string())?;
-        let profile = cap.profile.as_ref().ok_or_else(|| {
-            format!(
-                "{} at batch {} does not fit {}",
-                query.model.name(),
-                query.batch,
-                self.gpu.name
-            )
-        })?;
         let model = query.model.build_full(query.batch).map_err(|e| e.to_string())?;
+        let hints = query.framework.hints(query.model, query.batch);
+        let speed = SpeedOptions { fuse: query.fuse, precision: query.precision };
+        let profile = query
+            .framework
+            .profile_with_speed(&model, &self.gpu, hints, speed)
+            .map_err(|_| {
+                format!(
+                    "{} at batch {} does not fit {}",
+                    query.model.name(),
+                    query.batch,
+                    self.gpu.name
+                )
+            })?;
         let grad_map: Vec<(usize, f64)> = weight_grad_bytes_by_consumer(&model.graph)
             .into_iter()
             .map(|(id, bytes)| (id.index(), bytes as f64))
@@ -810,6 +839,23 @@ mod tests {
         assert_eq!(q.straggler_seed, Some(7));
         assert!(parse_query("").is_err(), "model is required");
         assert!(parse_query("model=resnet50&batch=x").is_err());
+    }
+
+    #[test]
+    fn query_parsing_rejects_batch_zero_and_unknown_keys() {
+        let err = parse_query("model=resnet50&batch=0").expect_err("batch 0 is rejected");
+        assert!(err.contains("invalid batch '0'"), "{err}");
+        let err = parse_query("model=resnet50&bach=64").expect_err("a misspelt key is rejected");
+        assert!(err.contains("unknown parameter 'bach'"), "{err}");
+        // Keys are matched after URL decoding.
+        assert_eq!(parse_query("model=resnet50&b%61tch=8").map(|q| q.batch), Ok(8));
+        let err = parse_query("model=resnet50&fuse=nope").expect_err("fuse is a flag");
+        assert!(err.contains("invalid fuse 'nope'"), "{err}");
+        assert_eq!(parse_query("model=resnet50&fuse=off").map(|q| q.fuse), Ok(false));
+        assert_eq!(parse_batch("8"), Ok(8));
+        assert!(parse_batch("0").is_err());
+        assert!(parse_batch("-1").is_err());
+        assert!(parse_batch("").is_err());
     }
 
     #[test]

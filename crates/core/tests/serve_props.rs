@@ -210,3 +210,25 @@ fn shutdown_drains_in_flight_connections() {
     }
     drop(server);
 }
+
+/// Bad `/query` input is a 400 that names the problem, and nothing is
+/// computed or cached for it: batch 0 used to answer and cache a verdict,
+/// and an unknown key used to be ignored (`bach=64` answered for batch 4).
+#[test]
+fn bad_query_input_is_rejected_with_400_and_never_cached() {
+    let engine = Arc::new(ServeEngine::new(GpuSpec::quadro_p4000()));
+    let mut server = ServeServer::start(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default())
+        .expect("server");
+    for (path, message) in [
+        ("/query?model=a3c&batch=0", "invalid batch '0'"),
+        ("/query?model=a3c&bach=64", "unknown parameter 'bach'"),
+    ] {
+        for _ in 0..2 {
+            let response = http_get(server.local_addr(), path);
+            assert!(response.starts_with("HTTP/1.1 400"), "{path}: {response}");
+            assert!(response.contains(message), "{path}: {response}");
+        }
+    }
+    assert_eq!(engine.computes(), 0, "rejected queries never reach the engine");
+    server.shutdown();
+}

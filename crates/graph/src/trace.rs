@@ -21,6 +21,7 @@
 //! never serialises kernel execution.
 
 use std::borrow::Cow;
+use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -78,18 +79,22 @@ impl TraceLayer {
     pub fn index(self) -> usize {
         self.pid() as usize - 1
     }
-}
 
-impl std::fmt::Display for TraceLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// Short layer label, as shown by `Display` and in canonical lines.
+    fn as_str(self) -> &'static str {
+        match self {
             TraceLayer::Executor => "executor",
             TraceLayer::GpuSim => "gpusim",
             TraceLayer::Framework => "framework",
             TraceLayer::Distrib => "distrib",
             TraceLayer::Profiler => "profiler",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for TraceLayer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -137,9 +142,10 @@ pub enum EventKind {
     Rejoin,
 }
 
-impl std::fmt::Display for EventKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl EventKind {
+    /// Short kind label, as shown by `Display` and in canonical lines.
+    fn as_str(self) -> &'static str {
+        match self {
             EventKind::NodeExec => "node",
             EventKind::KernelExec => "kernel",
             EventKind::KernelLaunch => "launch",
@@ -157,8 +163,13 @@ impl std::fmt::Display for EventKind {
             EventKind::Membership => "membership",
             EventKind::Eviction => "eviction",
             EventKind::Rejoin => "rejoin",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for EventKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -195,13 +206,54 @@ impl ArgValue {
 
     /// Canonical text used by the digest: exact, platform-independent.
     pub fn canonical(&self) -> String {
+        let mut text = String::new();
+        let _ = self.write_canonical(&mut text);
+        text
+    }
+
+    /// Writes [`ArgValue::canonical`] into `out` without allocating.
+    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
         match self {
-            ArgValue::Str(s) => format!("s:{s}"),
-            ArgValue::F64(v) => format!("f:{:016x}", v.to_bits()),
-            ArgValue::U64(v) => format!("u:{v}"),
-            ArgValue::Bool(b) => format!("b:{b}"),
+            ArgValue::Str(s) => {
+                out.write_str("s:")?;
+                out.write_str(s)
+            }
+            ArgValue::F64(v) => {
+                out.write_str("f:")?;
+                write_hex16(out, v.to_bits())
+            }
+            ArgValue::U64(v) => {
+                out.write_str("u:")?;
+                write_decimal(out, *v)
+            }
+            ArgValue::Bool(b) => out.write_str(if *b { "b:true" } else { "b:false" }),
         }
     }
+}
+
+/// Writes `v` as 16 lowercase hex digits (`{:016x}`).
+fn write_hex16(out: &mut impl Write, v: u64) -> fmt::Result {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = [0u8; 16];
+    for (i, slot) in buf.iter_mut().enumerate() {
+        *slot = DIGITS[((v >> (60 - 4 * i)) & 0xF) as usize];
+    }
+    out.write_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"))
+}
+
+/// Writes `v` in decimal (`{}`).
+fn write_decimal(out: &mut impl Write, mut v: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"))
 }
 
 impl From<&'static str> for ArgValue {
@@ -343,22 +395,38 @@ impl TraceEvent {
     /// settings while still asserting bitwise-identical *results* via
     /// value-hash args.
     pub fn canonical(&self) -> String {
-        use std::fmt::Write;
         let mut line = String::with_capacity(64);
-        let _ = write!(line, "{}|{}|{}", self.layer, self.kind, self.name);
+        let _ = self.write_canonical(&mut line);
+        line
+    }
+
+    /// Writes [`TraceEvent::canonical`] into `out` without allocating —
+    /// the form digests stream straight into an [`Fnv1a`] hasher.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the writer's error.
+    pub fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str(self.layer.as_str())?;
+        out.write_char('|')?;
+        out.write_str(self.kind.as_str())?;
+        out.write_char('|')?;
+        out.write_str(&self.name)?;
         if self.deterministic {
-            let _ = write!(
-                line,
-                "|t:{:016x}+{:016x}@{}",
-                self.start_us.to_bits(),
-                self.dur_us.to_bits(),
-                self.track
-            );
+            out.write_str("|t:")?;
+            write_hex16(out, self.start_us.to_bits())?;
+            out.write_char('+')?;
+            write_hex16(out, self.dur_us.to_bits())?;
+            out.write_char('@')?;
+            write_decimal(out, u64::from(self.track))?;
         }
         for (key, value) in &self.args {
-            let _ = write!(line, "|{key}={}", value.canonical());
+            out.write_char('|')?;
+            out.write_str(key)?;
+            out.write_char('=')?;
+            value.write_canonical(out)?;
         }
-        line
+        Ok(())
     }
 }
 
@@ -655,12 +723,64 @@ impl TraceRecorder {
 /// platform-independent).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a`]: feeding the same bytes in any number of pieces
+/// gives the same hash as one call over their concatenation. Implements
+/// [`fmt::Write`], so canonical text can be formatted straight into the
+/// hash without building the string first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher over the empty input.
+    #[must_use]
+    pub const fn new() -> Self {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
     }
-    h
+
+    /// Feeds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a over the canonical lines of `events`, each terminated by `\n` —
+/// the digest of a drained event stream (scale, chaos and elastic report
+/// entries).
+#[must_use]
+pub fn events_digest(events: &[TraceEvent]) -> u64 {
+    let mut h = Fnv1a::new();
+    for event in events {
+        let _ = event.write_canonical(&mut h);
+        h.update(b"\n");
+    }
+    h.finish()
 }
 
 /// Bitwise hash of an `f32` slice: equal exactly when the tensors are

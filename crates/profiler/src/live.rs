@@ -170,18 +170,20 @@ pub struct Snapshot {
     pub overhead_json: String,
 }
 
-/// A rendered report plus its digest.
+/// A rendered report plus its digest and the trace digest it shows.
 #[derive(Debug, Clone)]
 pub struct RenderedReport {
     /// The self-contained HTML document.
     pub html: String,
     /// FNV-1a digest of the timestamp-free render, 16 hex digits.
     pub digest_hex: String,
+    /// Golden-trace digest of the observed capture (`Trace::digest_hex`).
+    pub trace_digest: String,
 }
 
-/// Renders the HTML report for an observation. `timestamp` is display-only
-/// (pass [`crate::DIGEST_TIMESTAMP`] for a reproducible page); the digest always
-/// covers the timestamp-free render.
+/// Renders the HTML report for an observation, once. `timestamp` is
+/// display-only (pass [`crate::DIGEST_TIMESTAMP`] for a reproducible page);
+/// the digest always covers the timestamp-free render.
 pub fn render_report(obs: &Observation, timestamp: &str) -> RenderedReport {
     let trace = &obs.capture.trace;
     let diagnosis =
@@ -198,17 +200,18 @@ pub fn render_report(obs: &Observation, timestamp: &str) -> RenderedReport {
         diagnosis: &diagnosis,
         overhead: obs.overhead.clone(),
     };
-    RenderedReport { html: ctx.render(timestamp), digest_hex: ctx.digest_hex() }
+    let (html, digest_hex) = ctx.render_with_digest(timestamp);
+    RenderedReport { html, digest_hex, trace_digest }
 }
 
 fn snapshot_of(obs: &Observation, capture_index: u64) -> Snapshot {
     let rendered = render_report(obs, &format!("capture #{capture_index}"));
     Snapshot {
         prometheus: obs.registry.to_prometheus(),
-        trace_json: obs.capture.trace.to_chrome_json(),
+        trace_json: obs.capture.trace.chrome_json(&rendered.trace_digest),
         html: rendered.html,
         report_digest: rendered.digest_hex,
-        trace_digest: obs.capture.trace.digest_hex(),
+        trace_digest: rendered.trace_digest,
         overhead_json: overhead_health_json(
             &obs.overhead,
             obs.capture.wall.total_s,

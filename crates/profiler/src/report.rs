@@ -29,9 +29,10 @@
 
 use crate::agg::MetricsRegistry;
 use crate::diagnose::DiagnosisReport;
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
+use std::ops::Range;
 use tbd_graph::trace::{
-    fnv1a, EventKind, RecorderOverhead, TraceEvent, TraceLayer, SINK_LATENCY_BUCKETS,
+    EventKind, Fnv1a, RecorderOverhead, TraceEvent, TraceLayer, SINK_LATENCY_BUCKETS,
 };
 
 /// Timestamp placeholder used when computing the digest: the one part of
@@ -76,19 +77,30 @@ pub struct ReportContext<'a> {
     pub overhead: RecorderOverhead,
 }
 
-fn esc(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
+/// `text` with the HTML-special characters escaped, written straight into
+/// the formatter.
+struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rest = self.0;
+        while let Some(at) = rest.find(['&', '<', '>', '"', '\'']) {
+            f.write_str(&rest[..at])?;
+            f.write_str(match rest.as_bytes()[at] {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' => "&quot;",
+                _ => "&#39;",
+            })?;
+            rest = &rest[at + 1..];
         }
+        f.write_str(rest)
     }
-    out
+}
+
+fn esc(text: &str) -> Esc<'_> {
+    Esc(text)
 }
 
 /// Deterministic number formatting: integers render bare, everything else
@@ -152,45 +164,83 @@ impl ReportContext<'_> {
     /// non-deterministic content allowed on the page; pass
     /// [`DIGEST_TIMESTAMP`] to reproduce the digested body.
     pub fn render(&self, timestamp: &str) -> String {
-        let mut out = String::with_capacity(64 * 1024);
-        out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-        let _ = writeln!(
+        self.render_page(timestamp).0
+    }
+
+    /// Renders the page once and returns it with its digest (the value
+    /// [`ReportContext::digest_hex`] returns). The timestamp is the only
+    /// part of the page between the head and the tail, so the digest
+    /// hashes the rendered head and tail around [`DIGEST_TIMESTAMP`]
+    /// instead of rendering the page a second time.
+    pub fn render_with_digest(&self, timestamp: &str) -> (String, String) {
+        let (html, stamp) = self.render_page(timestamp);
+        let mut h = Fnv1a::new();
+        h.update(&html.as_bytes()[..stamp.start]);
+        let _ = write!(h, "{}", esc(DIGEST_TIMESTAMP));
+        h.update(&html.as_bytes()[stamp.end..]);
+        (html, format!("{:016x}", h.finish()))
+    }
+
+    /// FNV-1a digest (16 hex digits) of the body rendered with the fixed
+    /// timestamp placeholder, streamed into the hasher without building
+    /// the page.
+    pub fn digest_hex(&self) -> String {
+        let mut h = Fnv1a::new();
+        let _ = self.render_head(&mut h);
+        let _ = write!(h, "{}", esc(DIGEST_TIMESTAMP));
+        let _ = self.render_tail(&mut h);
+        format!("{:016x}", h.finish())
+    }
+
+    /// The page and the byte range of its escaped timestamp.
+    fn render_page(&self, timestamp: &str) -> (String, Range<usize>) {
+        let mut out = String::with_capacity(128 * 1024);
+        let _ = self.render_head(&mut out);
+        let start = out.len();
+        let _ = write!(out, "{}", esc(timestamp));
+        let end = out.len();
+        let _ = self.render_tail(&mut out);
+        (out, start..end)
+    }
+
+    /// Everything before the timestamp.
+    fn render_head(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")?;
+        writeln!(
             out,
             "<title>TBD run report — {} × {}</title>",
             esc(self.model),
             esc(self.framework)
-        );
-        out.push_str("<style>\n");
-        out.push_str(STYLE);
-        out.push_str("</style>\n</head>\n<body>\n");
-        self.render_header(&mut out, timestamp);
-        self.render_swimlanes(&mut out);
-        self.render_memory_curve(&mut out);
-        self.render_overlap(&mut out);
-        self.render_metrics_table(&mut out);
-        self.render_diagnosis(&mut out);
-        self.render_overhead(&mut out);
-        out.push_str("<script>\n");
-        out.push_str(SCRIPT);
-        out.push_str("</script>\n</body>\n</html>\n");
-        out
-    }
-
-    /// FNV-1a digest (16 hex digits) of the body rendered with the fixed
-    /// timestamp placeholder.
-    pub fn digest_hex(&self) -> String {
-        format!("{:016x}", fnv1a(self.render(DIGEST_TIMESTAMP).as_bytes()))
-    }
-
-    fn render_header(&self, out: &mut String, timestamp: &str) {
-        let _ = writeln!(
+        )?;
+        out.write_str("<style>\n")?;
+        out.write_str(STYLE)?;
+        out.write_str("</style>\n</head>\n<body>\n")?;
+        writeln!(
             out,
             "<h1>TBD run report — {} × {}</h1>",
             esc(self.model),
             esc(self.framework)
-        );
-        let _ = writeln!(out, "<div class=\"stamp\">{}</div>", esc(timestamp));
-        out.push_str("<table class=\"meta\"><tbody>\n");
+        )?;
+        out.write_str("<div class=\"stamp\">")
+    }
+
+    /// Everything after the timestamp.
+    fn render_tail(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("</div>\n")?;
+        self.render_meta(out)?;
+        self.render_swimlanes(out)?;
+        self.render_memory_curve(out)?;
+        self.render_overlap(out)?;
+        self.render_metrics_table(out)?;
+        self.render_diagnosis(out)?;
+        self.render_overhead(out)?;
+        out.write_str("<script>\n")?;
+        out.write_str(SCRIPT)?;
+        out.write_str("</script>\n</body>\n</html>\n")
+    }
+
+    fn render_meta(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("<table class=\"meta\"><tbody>\n")?;
         let rows: [(&str, String); 6] = [
             ("model", self.model.to_string()),
             ("framework", self.framework.to_string()),
@@ -200,18 +250,18 @@ impl ReportContext<'_> {
             ("trace digest", self.trace_digest.to_string()),
         ];
         for (key, value) in rows {
-            let _ = writeln!(out, "<tr><th>{}</th><td>{}</td></tr>", esc(key), esc(&value));
+            writeln!(out, "<tr><th>{}</th><td>{}</td></tr>", esc(key), esc(&value))?;
         }
-        out.push_str("</tbody></table>\n");
+        out.write_str("</tbody></table>\n")
     }
 
-    fn render_swimlanes(&self, out: &mut String) {
-        out.push_str("<h2>Kernel timeline</h2>\n");
-        out.push_str(
+    fn render_swimlanes(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("<h2>Kernel timeline</h2>\n")?;
+        out.write_str(
             "<p class=\"note\">Deterministic span events per layer and track \
              (simulated/logical clocks). Host wall-clock executor spans are excluded \
              by the determinism contract.</p>\n",
-        );
+        )?;
         for layer in [TraceLayer::GpuSim, TraceLayer::Framework, TraceLayer::Distrib] {
             let spans: Vec<&TraceEvent> = self
                 .events
@@ -228,18 +278,18 @@ impl ReportContext<'_> {
             tracks.sort_unstable();
             tracks.dedup();
             let height = tracks.len() as f64 * LANE_H + 4.0;
-            let _ = writeln!(
+            writeln!(
                 out,
                 "<h3>{} <span class=\"sub\">({} span(s), {})</span></h3>",
                 esc(layer.process_name()),
                 spans.len(),
                 fmt_us(range)
-            );
-            let _ = writeln!(
+            )?;
+            writeln!(
                 out,
                 "<svg class=\"lanes\" viewBox=\"0 0 {SVG_W} {height}\" \
                  width=\"100%\" role=\"img\">"
-            );
+            )?;
             let mut elided = 0usize;
             for (row, track) in tracks.iter().enumerate() {
                 let y = row as f64 * LANE_H + 2.0;
@@ -263,7 +313,7 @@ impl ReportContext<'_> {
                 for event in lane {
                     let x = (event.start_us - t0) / range * SVG_W;
                     let w = (event.dur_us / range * SVG_W).max(0.5);
-                    let _ = writeln!(
+                    writeln!(
                         out,
                         "<rect class=\"{}\" x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" \
                          height=\"{:.1}\"><title>{} — {} (track {})</title></rect>",
@@ -272,21 +322,22 @@ impl ReportContext<'_> {
                         esc(&event.name),
                         fmt_us(event.dur_us),
                         event.track,
-                    );
+                    )?;
                 }
             }
-            out.push_str("</svg>\n");
+            out.write_str("</svg>\n")?;
             if elided > 0 {
-                let _ = writeln!(
+                writeln!(
                     out,
                     "<p class=\"note\">{elided} shorter span(s) elided \
                      (longest {MAX_LANE_EVENTS} shown per lane).</p>"
-                );
+                )?;
             }
         }
+        Ok(())
     }
 
-    fn render_memory_curve(&self, out: &mut String) {
+    fn render_memory_curve(&self, out: &mut impl Write) -> fmt::Result {
         let mut points: Vec<f64> = Vec::new();
         let mut current = 0.0f64;
         let mut fails: Vec<usize> = Vec::new();
@@ -318,40 +369,40 @@ impl ReportContext<'_> {
             }
         }
         if points.is_empty() {
-            return;
+            return Ok(());
         }
         let peak = points.iter().copied().fold(0.0f64, f64::max).max(1.0);
-        out.push_str("<h2>Memory footprint (Fig. 9)</h2>\n");
-        let _ = writeln!(
+        out.write_str("<h2>Memory footprint (Fig. 9)</h2>\n")?;
+        writeln!(
             out,
             "<p class=\"note\">Resident device memory folded from {} allocator event(s); \
              peak {}.</p>",
             points.len(),
             fmt_bytes(peak)
-        );
+        )?;
         let h = 160.0f64;
-        let _ = writeln!(
+        writeln!(
             out,
             "<svg class=\"curve\" viewBox=\"0 0 {SVG_W} {h}\" width=\"100%\" role=\"img\">"
-        );
+        )?;
         let step = SVG_W / points.len().max(1) as f64;
-        let mut path = String::new();
+        out.write_str("<polyline class=\"mem\" points=\"")?;
         for (i, &bytes) in points.iter().enumerate() {
             let x = i as f64 * step;
             let y = h - 6.0 - bytes / peak * (h - 16.0);
-            let _ = write!(path, "{}{x:.2},{y:.2}", if i == 0 { "" } else { " " });
+            write!(out, "{}{x:.2},{y:.2}", if i == 0 { "" } else { " " })?;
         }
-        let _ = writeln!(out, "<polyline class=\"mem\" points=\"{path}\"/>");
+        out.write_str("\"/>\n")?;
         for fail in &fails {
             let x = *fail as f64 * step;
-            let _ = writeln!(
+            writeln!(
                 out,
                 "<line class=\"fail\" x1=\"{x:.2}\" y1=\"4\" x2=\"{x:.2}\" y2=\"{:.1}\">\
                  <title>allocation failure</title></line>",
                 h - 4.0
-            );
+            )?;
         }
-        out.push_str("</svg>\n");
+        out.write_str("</svg>\n")?;
         // Per-category peaks from the registry (already folded).
         let cats: Vec<(&str, f64)> = self
             .registry
@@ -359,35 +410,36 @@ impl ReportContext<'_> {
             .filter(|(name, _)| name.starts_with("memory_peak_bytes{"))
             .collect();
         if !cats.is_empty() {
-            out.push_str("<table class=\"grid\"><thead><tr><th>category</th><th>peak</th>\
-                          </tr></thead><tbody>\n");
+            out.write_str("<table class=\"grid\"><thead><tr><th>category</th><th>peak</th>\
+                          </tr></thead><tbody>\n")?;
             for (name, bytes) in cats {
                 let label = name
                     .split("category=\"")
                     .nth(1)
                     .and_then(|s| s.strip_suffix("\"}"))
                     .unwrap_or(name);
-                let _ = writeln!(
+                writeln!(
                     out,
                     "<tr><td>{}</td><td>{}</td></tr>",
                     esc(label),
                     fmt_bytes(bytes)
-                );
+                )?;
             }
-            out.push_str("</tbody></table>\n");
+            out.write_str("</tbody></table>\n")?;
         }
+        Ok(())
     }
 
-    fn render_overlap(&self, out: &mut String) {
+    fn render_overlap<W: Write>(&self, out: &mut W) -> fmt::Result {
         let comm = self.registry.gauge("comm_time_us").unwrap_or(0.0);
         if comm <= 0.0 {
-            return;
+            return Ok(());
         }
         let exposed = self.registry.gauge("comm_exposed_us").unwrap_or(0.0);
         let iter =
             self.registry.gauge("cluster_iteration_us").unwrap_or(0.0).max(comm).max(1e-9);
-        out.push_str("<h2>Communication overlap (Fig. 10)</h2>\n");
-        let _ = writeln!(
+        out.write_str("<h2>Communication overlap (Fig. 10)</h2>\n")?;
+        writeln!(
             out,
             "<p class=\"note\">Gradient exchange {} — {} exposed beyond the backward pass \
              ({}% overlapped); cluster iteration {}.</p>",
@@ -395,75 +447,74 @@ impl ReportContext<'_> {
             fmt_us(exposed),
             fmt_num(if comm > 0.0 { (1.0 - exposed / comm) * 100.0 } else { 0.0 }),
             fmt_us(iter)
-        );
-        let bar = |out: &mut String, label: &str, class: &str, us: f64| {
+        )?;
+        let bar = |out: &mut W, label: &str, class: &str, us: f64| {
             let w = (us / iter * 100.0).clamp(0.0, 100.0);
-            let _ = writeln!(
+            writeln!(
                 out,
                 "<div class=\"barrow\"><span class=\"barlabel\">{}</span>\
                  <span class=\"bar\"><span class=\"{class}\" style=\"width:{w:.2}%\"></span>\
                  </span><span class=\"barval\">{}</span></div>",
                 esc(label),
                 fmt_us(us)
-            );
+            )
         };
-        bar(out, "cluster iteration", "seg-iter", iter);
+        bar(out, "cluster iteration", "seg-iter", iter)?;
         let compute = self.registry.gauge("sim_iteration_us").unwrap_or(0.0);
         if compute > 0.0 {
-            bar(out, "compute (1 GPU)", "seg-compute", compute);
+            bar(out, "compute (1 GPU)", "seg-compute", compute)?;
         }
-        bar(out, "comm total", "seg-comm", comm);
-        bar(out, "comm exposed", "seg-exposed", exposed);
+        bar(out, "comm total", "seg-comm", comm)?;
+        bar(out, "comm exposed", "seg-exposed", exposed)
     }
 
-    fn render_metrics_table(&self, out: &mut String) {
-        out.push_str("<h2>Metrics</h2>\n");
-        out.push_str(
+    fn render_metrics_table(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("<h2>Metrics</h2>\n")?;
+        out.write_str(
             "<input id=\"mfilter\" type=\"text\" placeholder=\"filter series…\" \
              aria-label=\"filter metrics\">\n",
-        );
-        out.push_str(
+        )?;
+        out.write_str(
             "<table class=\"grid\" id=\"metrics\"><thead>\
              <tr><th>series</th><th>kind</th><th>value</th></tr></thead><tbody>\n",
-        );
+        )?;
         let keep = |name: &str| {
             let family = name.split('{').next().unwrap_or(name);
             !NONDETERMINISTIC_FAMILIES.contains(&family)
         };
         for (name, value) in self.registry.counters().filter(|(n, _)| keep(n)) {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "<tr><td>{}</td><td>counter</td><td>{value}</td></tr>",
                 esc(name)
-            );
+            )?;
         }
         for (name, value) in self.registry.gauges().filter(|(n, _)| keep(n)) {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "<tr><td>{}</td><td>gauge</td><td>{}</td></tr>",
                 esc(name),
                 fmt_num(value)
-            );
+            )?;
         }
-        out.push_str("</tbody></table>\n");
+        out.write_str("</tbody></table>\n")
     }
 
-    fn render_diagnosis(&self, out: &mut String) {
-        out.push_str("<h2>Diagnosis</h2>\n");
+    fn render_diagnosis(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("<h2>Diagnosis</h2>\n")?;
         if self.diagnosis.diagnoses.is_empty() {
-            out.push_str("<p class=\"note\">No diagnosis produced.</p>\n");
-            return;
+            return out.write_str("<p class=\"note\">No diagnosis produced.</p>\n");
         }
-        let _ = writeln!(
+        writeln!(
             out,
             "<p class=\"note\">Ranked bottleneck classes mined from {} event(s); \
              iteration {}.</p>",
             self.diagnosis.events,
             fmt_us(self.diagnosis.iteration_us)
-        );
+        )?;
         for (rank, diag) in self.diagnosis.diagnoses.iter().enumerate() {
             let pct = (diag.confidence * 100.0).clamp(0.0, 100.0);
-            let _ = writeln!(
+            writeln!(
                 out,
                 "<div class=\"diag\"><div class=\"diaghead\">#{} {} \
                  <span class=\"conf\"><span style=\"width:{pct:.1}%\"></span></span> \
@@ -471,65 +522,66 @@ impl ReportContext<'_> {
                 rank + 1,
                 esc(diag.class.label()),
                 fmt_num(pct)
-            );
+            )?;
             if !diag.evidence.is_empty() {
-                out.push_str(
+                out.write_str(
                     "<table class=\"grid\"><thead><tr><th>metric</th><th>value</th>\
                      <th>threshold</th><th>detail</th></tr></thead><tbody>\n",
-                );
+                )?;
                 for ev in &diag.evidence {
-                    let _ = writeln!(
+                    writeln!(
                         out,
                         "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
                         esc(&ev.metric),
                         fmt_num(ev.value),
                         fmt_num(ev.threshold),
                         esc(&ev.detail)
-                    );
+                    )?;
                 }
-                out.push_str("</tbody></table>\n");
+                out.write_str("</tbody></table>\n")?;
             }
-            let _ = writeln!(
+            writeln!(
                 out,
                 "<p class=\"remedy\">{}</p></div>",
                 esc(&diag.remediation)
-            );
+            )?;
         }
+        Ok(())
     }
 
-    fn render_overhead(&self, out: &mut String) {
-        out.push_str("<h2>Observer overhead (self-observability)</h2>\n");
-        out.push_str(
+    fn render_overhead(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("<h2>Observer overhead (self-observability)</h2>\n")?;
+        out.write_str(
             "<p class=\"note\">What the trace recorder itself cost, counted by the \
              recorder. Deterministic counters only — wall-clock sink latency is \
              served out-of-band on <code>/health</code>.</p>\n",
-        );
-        out.push_str(
+        )?;
+        out.write_str(
             "<table class=\"grid\"><thead><tr><th>counter</th><th>value</th></tr>\
              </thead><tbody>\n",
-        );
+        )?;
         let oh = &self.overhead;
         let mut row = |name: &str, value: String| {
-            let _ = writeln!(out, "<tr><td>{}</td><td>{value}</td></tr>", esc(name));
+            writeln!(out, "<tr><td>{}</td><td>{value}</td></tr>", esc(name))
         };
-        row("events recorded", oh.events_total().to_string());
+        row("events recorded", oh.events_total().to_string())?;
         for layer in TraceLayer::ALL {
             let count = oh.events_by_layer[layer.index()];
             if count > 0 {
-                row(&format!("events recorded ({layer})"), count.to_string());
+                row(&format!("events recorded ({layer})"), count.to_string())?;
             }
         }
-        row("event bytes retained", fmt_bytes(oh.event_bytes_total as f64));
-        row("events dropped (retain cap)", oh.events_dropped_total.to_string());
+        row("event bytes retained", fmt_bytes(oh.event_bytes_total as f64))?;
+        row("events dropped (retain cap)", oh.events_dropped_total.to_string())?;
         row(
             "aggregator kernel-series overflow",
             self.registry.counter("agg_kernel_series_overflow_total").unwrap_or(0).to_string(),
-        );
+        )?;
         row(
             "aggregator window evictions",
             self.registry.counter("agg_window_dropped_total").unwrap_or(0).to_string(),
-        );
-        out.push_str("</tbody></table>\n");
+        )?;
+        out.write_str("</tbody></table>\n")
     }
 }
 
@@ -629,6 +681,7 @@ mod tests {
     use super::*;
     use crate::agg::{series, StreamingAggregator};
     use crate::diagnose::diagnose_events;
+    use tbd_graph::trace::fnv1a;
 
     fn tiny_events() -> Vec<TraceEvent> {
         vec![

@@ -28,7 +28,8 @@ use tbd_models::{BuiltModel, ModelKind};
 use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
-    fnv1a, value_hash, ArgValue, EventKind, TraceEvent, TraceLayer, TraceRecorder,
+    events_digest, fnv1a, value_hash, ArgValue, EventKind, Fnv1a, TraceEvent, TraceLayer,
+    TraceRecorder,
 };
 
 /// A merged recording of one workload run across every layer.
@@ -76,25 +77,23 @@ pub struct SummaryRow {
 }
 
 impl Trace {
-    /// Header line identifying the run; participates in the digest.
-    fn header(&self) -> String {
-        format!("trace|{}|{}|batch={}", self.model.name(), self.framework, self.batch)
-    }
-
     /// Deterministic 64-bit digest of the trace.
     ///
-    /// Hashes the header plus every event's canonical line. Simulated
-    /// timestamps participate bit-exactly; wall-clock (executor) events
-    /// contribute identity and args only — including the output-value
-    /// hashes — so the digest is stable across `intra_op_threads` while
-    /// still asserting bitwise-identical computation.
+    /// Hashes a header line identifying the run, then every event's
+    /// canonical line, `\n`-separated, streamed straight into the hasher.
+    /// Simulated timestamps participate bit-exactly; wall-clock (executor)
+    /// events contribute identity and args only — including the
+    /// output-value hashes — so the digest is stable across
+    /// `intra_op_threads` while still asserting bitwise-identical
+    /// computation.
     pub fn digest(&self) -> u64 {
-        let mut text = self.header();
+        let mut h = Fnv1a::new();
+        let _ = write!(h, "trace|{}|{}|batch={}", self.model.name(), self.framework, self.batch);
         for event in &self.events {
-            text.push('\n');
-            text.push_str(&event.canonical());
+            h.update(b"\n");
+            let _ = event.write_canonical(&mut h);
         }
-        fnv1a(text.as_bytes())
+        h.finish()
     }
 
     /// The digest as a fixed-width hex string (golden-file format).
@@ -134,6 +133,11 @@ impl Trace {
     /// process with a metadata name; spans are `ph:"X"` duration events
     /// and zero-duration events become `ph:"i"` instants.
     pub fn to_chrome_json(&self) -> String {
+        self.chrome_json(&self.digest_hex())
+    }
+
+    /// [`Trace::to_chrome_json`] with the trace's digest already computed.
+    pub(crate) fn chrome_json(&self, digest_hex: &str) -> String {
         let mut out = String::with_capacity(256 + self.events.len() * 128);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
@@ -192,7 +196,7 @@ impl Trace {
             json::escape(self.model.name()),
             json::escape(self.framework),
             self.batch,
-            self.digest_hex()
+            digest_hex
         );
         out
     }

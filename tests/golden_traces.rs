@@ -218,7 +218,7 @@ fn distrib_golden_path(network: &str) -> PathBuf {
 fn golden_distrib_event_traces_match() {
     use tbd_core::Interconnect;
     use tbd_distrib::{BackwardProfile, ClusterConfig, DataParallelSim, EventConfig};
-    use tbd_profiler::trace::{fnv1a, TraceRecorder};
+    use tbd_profiler::trace::{events_digest, TraceRecorder};
 
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let cap = capture_at(ModelKind::ResNet50, Framework::mxnet(), 1);
@@ -249,8 +249,7 @@ fn golden_distrib_event_traces_match() {
         let tracer = TraceRecorder::shared();
         let out = sim.simulate_events_traced(&cluster, &backward, &EventConfig::default(), &tracer);
         let events = tracer.drain();
-        let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
-        let digest = format!("{:016x}", fnv1a(canonical.as_bytes()));
+        let digest = format!("{:016x}", events_digest(&events));
         let mut rendered = String::new();
         let _ = writeln!(
             rendered,
@@ -296,4 +295,18 @@ fn golden_distrib_event_traces_match() {
         "distrib goldens drifted:\n{failures}\n\
          If the change is intentional: UPDATE_GOLDEN=1 cargo test --test golden_traces"
     );
+}
+
+/// `tbd trace --batch 0` is an input error: the command exits non-zero
+/// with a message instead of emitting a trace.
+#[test]
+fn trace_cli_rejects_batch_zero() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tbd"))
+        .args(["trace", "resnet-50", "--batch", "0"])
+        .output()
+        .expect("run tbd");
+    assert!(!out.status.success(), "batch 0 must fail");
+    assert!(out.stdout.is_empty(), "no trace is emitted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("invalid batch '0'"), "{stderr}");
 }

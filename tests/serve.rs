@@ -8,8 +8,11 @@
 //! `UPDATE_GOLDEN=1 cargo test --test serve`.
 
 use std::path::PathBuf;
-use tbd_core::serve::ServeQuery;
-use tbd_core::{GpuSpec, ServeEngine};
+use tbd_core::serve::{ProfileArtifact, ServeQuery};
+use tbd_core::{paper_batches, Framework, GpuSpec, ModelKind, ServeEngine};
+use tbd_distrib::BackwardProfile;
+use tbd_graph::lower::weight_grad_bytes_by_consumer;
+use tbd_profiler::{capture, TraceOptions};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/serve-baseline.json")
@@ -128,4 +131,87 @@ fn overload_shed_survives_a_large_request_body() {
     drop(hold_a);
     drop(hold_b);
     server.shutdown();
+}
+
+/// The query of one profile point, on the golden cluster.
+fn point_query(model: ModelKind, framework: Framework, batch: usize) -> ServeQuery {
+    ServeQuery { model, framework, batch, ..ServeQuery::golden() }
+}
+
+/// The artifact as the profile cache first filled it: a traced,
+/// simulation-only `capture`, then the gradient map of a second build.
+fn artifact_from_capture(q: &ServeQuery, gpu: &GpuSpec) -> Result<ProfileArtifact, String> {
+    let options = TraceOptions {
+        functional: false,
+        fuse: q.fuse,
+        precision: q.precision,
+        ..TraceOptions::default()
+    };
+    let cap = capture(q.model, q.framework, q.batch, gpu, &options).map_err(|e| e.to_string())?;
+    let profile = cap.profile.as_ref().ok_or_else(|| {
+        format!("{} at batch {} does not fit {}", q.model.name(), q.batch, gpu.name)
+    })?;
+    let model = q.model.build_full(q.batch).map_err(|e| e.to_string())?;
+    let grad_map: Vec<(usize, f64)> = weight_grad_bytes_by_consumer(&model.graph)
+        .into_iter()
+        .map(|(id, bytes)| (id.index(), bytes as f64))
+        .collect();
+    let compute_iter_s = profile.iteration.wall_time_s;
+    let backward =
+        BackwardProfile::from_records(compute_iter_s, &profile.iteration.records, &grad_map);
+    Ok(ProfileArtifact { compute_iter_s, backward })
+}
+
+/// Every f64 of an artifact by bit pattern, with the layer labels.
+fn artifact_bits(a: &ProfileArtifact) -> (u64, Vec<(&'static str, u64, u64)>) {
+    let layers = a
+        .backward
+        .layers
+        .iter()
+        .map(|l| (l.label, l.bytes.to_bits(), l.finish_s.to_bits()))
+        .collect();
+    (a.compute_iter_s.to_bits(), layers)
+}
+
+/// The profile cache fills from an untraced profile. At every sweep point
+/// (each supported pair at its first two paper batches) the artifact must
+/// be bitwise the one the traced capture gives.
+#[test]
+fn untraced_cache_fill_matches_the_traced_capture_at_every_sweep_point() {
+    let gpu = GpuSpec::quadro_p4000();
+    let engine = ServeEngine::new(gpu.clone());
+    let mut points = 0;
+    for model in ModelKind::ALL {
+        for framework in Framework::all().into_iter().filter(|fw| fw.supports(model)) {
+            for batch in paper_batches(model).into_iter().take(2) {
+                let q = point_query(model, framework, batch);
+                let label = q.canonical();
+                let filled = engine.artifact(&q).unwrap_or_else(|e| panic!("{label}: {e}"));
+                let reference =
+                    artifact_from_capture(&q, &gpu).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert!(!filled.backward.layers.is_empty(), "{label}");
+                assert_eq!(artifact_bits(&filled), artifact_bits(&reference), "{label}");
+                points += 1;
+            }
+        }
+    }
+    assert_eq!(points, 26, "the sweep covers 26 profile points");
+    assert_eq!(engine.profile_computes(), 26);
+}
+
+/// A point that does not fit the device answers with the same error text
+/// as before, from both the cache fill and the query, and is not cached.
+#[test]
+fn oversized_point_keeps_its_error_text() {
+    let gpu = GpuSpec::quadro_p4000();
+    let q = point_query(ModelKind::ResNet50, Framework::mxnet(), 512);
+    let options = TraceOptions { functional: false, ..TraceOptions::default() };
+    let cap = capture(q.model, q.framework, q.batch, &gpu, &options).expect("capture runs");
+    assert!(cap.oom.is_some(), "ResNet-50 at batch 512 must not fit {}", gpu.name);
+    let expected = "ResNet-50 at batch 512 does not fit Quadro P4000";
+    assert_eq!(artifact_from_capture(&q, &gpu).err().as_deref(), Some(expected));
+    let engine = ServeEngine::new(gpu);
+    assert_eq!(engine.artifact(&q).err().as_deref(), Some(expected));
+    assert_eq!(engine.query(&q).err().as_deref(), Some(expected));
+    assert_eq!(engine.query(&q).err().as_deref(), Some(expected), "errors are not cached");
 }
